@@ -37,7 +37,7 @@ func startDaemon(t *testing.T, args ...string) (string, chan os.Signal, <-chan i
 }
 
 func TestDaemonServeDrainVerify(t *testing.T) {
-	addr, sig, code, out := startDaemon(t, "-addr", "127.0.0.1:0", "-objects", "x,y", "-shards", "3")
+	addr, sig, code, out := startDaemon(t, "-addr", "127.0.0.1:0", "-objects", "x,y", "-backend", "undolog")
 
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -128,10 +128,10 @@ func TestDaemonWalRestart(t *testing.T) {
 
 func TestDaemonBadFlags(t *testing.T) {
 	var out, errBuf strings.Builder
-	if got := run([]string{"-protocol", "nope"}, &out, &errBuf, nil, nil); got != 2 {
-		t.Fatalf("unknown protocol: exit %d, want 2", got)
+	if got := run([]string{"-backend", "nope"}, &out, &errBuf, nil, nil); got != 2 {
+		t.Fatalf("unknown backend: exit %d, want 2", got)
 	}
-	if !strings.Contains(errBuf.String(), "unknown protocol") {
+	if !strings.Contains(errBuf.String(), "unknown backend") {
 		t.Fatalf("stderr: %s", errBuf.String())
 	}
 	errBuf.Reset()

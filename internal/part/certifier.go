@@ -47,7 +47,7 @@ type Config struct {
 	// take it.
 	Lock sync.Locker
 
-	// Source streams the merged total-order log: it blocks until events
+	// Source streams the total-order log: it blocks until events
 	// beyond n exist, returning them (from n on) in buf's backing array,
 	// or ok=false once the log is closed and drained. Required by Start;
 	// a purely primed certifier (recovery audits, fuzzing) leaves it nil.
@@ -230,7 +230,7 @@ func (c *Certifier) Start() {
 	}
 }
 
-// worker streams the merged log through one partition. Each locked run is
+// worker streams the log through one partition. Each locked run is
 // bounded by the hooks; the partition's batch — edges and bound — is
 // flushed after every run and before any blocking in PartApply, so the
 // composer's watermark tracks a stalled partition's frontier exactly.

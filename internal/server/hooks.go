@@ -40,15 +40,6 @@ type Hooks interface {
 	// its next stall point; the real implementation returns max. It must
 	// not block.
 	PartBatch(part, index, max int) int
-	// MergeApply is called by the log merger just before it merges the
-	// shard's entry at global log index base into the totally-ordered
-	// log; a harness can block here to stall one shard's merge. It is
-	// never called with a log, shard or tree lock held.
-	MergeApply(shard int, base int)
-	// MergeWait is called when session sess is about to block until the
-	// merged log covers log sequence seq (a completion's durability
-	// point). Notification only; it must not block on the harness.
-	MergeWait(sess int64, seq int)
 	// CommitWait is called after a COMMIT's events are logged, just
 	// before the session blocks on the certification watermark for log
 	// sequence seq. Notification only; it must not block on the harness.
@@ -74,8 +65,6 @@ func (realHooks) CertApply(int)                     {}
 func (realHooks) CertBatch(_, max int) int          { return max }
 func (realHooks) PartApply(int, int)                {}
 func (realHooks) PartBatch(_, _, max int) int       { return max }
-func (realHooks) MergeApply(int, int)               {}
-func (realHooks) MergeWait(int64, int)              {}
 func (realHooks) CommitWait(int64, int)             {}
 func (realHooks) SessionDone(int64)                 {}
 func (realHooks) DrainWait(d time.Duration)         { time.Sleep(d) }

@@ -311,10 +311,14 @@ func (f *memFile) Sync() error {
 func (f *memFile) Close() error { return nil }
 
 // walWriter appends framed records to the current segment, rotating (and
-// syncing) when it grows past segMax. Callers serialize access: the event
-// log writes event records under its own mutex, definition records are
-// written under the server's tree write lock, and both locks are ordered
-// before wmu.
+// syncing) when it grows past segMax. It has two writers, and each writes
+// synchronously inside the critical section that orders its records:
+// eventLog.append writes one WalEvents record under the log mutex, and
+// resolveObject/internTx write each definition record under the tree
+// write lock. Both locks are ordered before w.mu. A name is interned and
+// its definition written before the tree lock is released, and only after
+// that can any session append an event naming it — so every definition
+// precedes its first use in the WAL, which recovery's replay requires.
 type walWriter struct {
 	mu      sync.Mutex
 	disk    Disk
@@ -598,12 +602,6 @@ func scanSegment(data []byte, ops *[]event.WalOp, numTx, numObj, records *int) (
 		pos = end
 	}
 	return pos, nil
-}
-
-// walEncodeEvents encodes one atomic event batch into a record payload
-// (reusing buf) for the event log's WAL tee.
-func walEncodeEvents(buf []byte, evs []event.Event) []byte {
-	return event.AppendWalEvents(buf[:0], evs...)
 }
 
 // isWalCorrupt reports whether err is a clean corruption rejection (as

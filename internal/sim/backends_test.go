@@ -80,7 +80,7 @@ func TestSimBackendDeterministicReplay(t *testing.T) {
 			cfg := backendCfg(backend, 42)
 			cfg.Steps = 250
 			cfg.Faults = sim.AllFaults()
-			cfg.FaultPermille = 120
+			cfg.FaultPermille = 150
 			a, err := sim.Run(cfg)
 			if err != nil {
 				t.Fatalf("first run: %v", err)

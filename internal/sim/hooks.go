@@ -16,9 +16,6 @@ const (
 	// evCommitWait: a session logged a COMMIT at log index seq and is
 	// about to block on the certification watermark.
 	evCommitWait
-	// evMergeWait: a session is about to block until the merged log
-	// covers log index seq (a completion's durability point).
-	evMergeWait
 	// evDone: a session's serve loop finished; all of its events are in
 	// the log.
 	evDone
@@ -187,45 +184,6 @@ func (h *simHooks) PartBatch(part, index, max int) int {
 	return max
 }
 
-// MergeApply blocks the merger when it reaches the stalled shard's merge
-// front — entries of that shard at or past the stall's install point —
-// until the driver lifts the stall or retires the generation. Entries of
-// other shards with smaller tickets keep merging; the totally-ordered
-// front simply stops at the stalled shard's first pending ticket. The
-// merger calls it with no lock held, so a stalled shard never wedges
-// appenders or waiters on the already-merged prefix.
-func (h *simHooks) MergeApply(shard, base int) {
-	s := h.s
-	for {
-		s.mu.Lock()
-		if h.gen != s.gen.Load() {
-			s.mu.Unlock()
-			return
-		}
-		st := s.mstall
-		rel := s.release
-		s.mu.Unlock()
-		if st == nil || shard != st.shard || base < st.from {
-			return
-		}
-		select {
-		case <-st.released:
-		case <-rel:
-			return
-		}
-	}
-}
-
-// MergeWait tells the driver the session is about to block until the
-// merged log covers log sequence seq (notification only). The driver
-// decides whether that wait will block — a stalled shard with a pending
-// ticket ≤ seq — by querying the server, which is deterministic because
-// entries at or past an active stall point can only accumulate, never
-// merge, while the stall holds.
-func (h *simHooks) MergeWait(sess int64, seq int) {
-	h.s.send(h.gen, simEvent{kind: evMergeWait, sess: sess, seq: seq})
-}
-
 // CommitWait tells the driver the session is about to block on the
 // certification watermark for log sequence seq (notification only).
 func (h *simHooks) CommitWait(sess int64, seq int) {
@@ -248,14 +206,6 @@ func (h *simHooks) DrainWait(d time.Duration) {
 // stallState is an active certifier stall: indexes >= from block until
 // released is closed.
 type stallState struct {
-	from     int
-	released chan struct{}
-}
-
-// mergeStallState is an active merge stall: the merger blocks on entries
-// of shard with tickets >= from until released is closed.
-type mergeStallState struct {
-	shard    int
 	from     int
 	released chan struct{}
 }

@@ -10,6 +10,7 @@ import (
 
 	"nestedsg/internal/locking"
 	"nestedsg/internal/object"
+	"nestedsg/internal/server"
 	"nestedsg/internal/sim"
 	"nestedsg/internal/undolog"
 )
@@ -74,14 +75,14 @@ func TestSimNoFaults(t *testing.T) {
 }
 
 // TestSimDeterministicReplay: the whole point of the simulator — the same
-// seed replays to the identical report and byte-identical event trace,
-// fault storms, crashes and all.
+// seed replays to the identical report, byte-identical event trace and
+// byte-identical WAL, fault storms, crashes and all.
 func TestSimDeterministicReplay(t *testing.T) {
 	cfg := sim.Config{
 		Seed:          42,
 		Steps:         250,
 		Faults:        sim.AllFaults(),
-		FaultPermille: 120,
+		FaultPermille: 150,
 	}
 	a, err := sim.Run(cfg)
 	if err != nil {
@@ -97,9 +98,31 @@ func TestSimDeterministicReplay(t *testing.T) {
 	if !bytes.Equal(a.Trace, b.Trace) {
 		t.Fatalf("traces diverge for the same seed (%d vs %d bytes)", len(a.Trace), len(b.Trace))
 	}
+	if wa, wb := walBytes(t, a.FinalDisk), walBytes(t, b.FinalDisk); !bytes.Equal(wa, wb) {
+		t.Fatalf("WALs diverge for the same seed (%d vs %d bytes)", len(wa), len(wb))
+	}
 	if a.Recoveries == 0 {
 		t.Fatalf("determinism run never crashed — raise FaultPermille: %s", a.Summary())
 	}
+}
+
+// walBytes concatenates the final disk's segments in name order — the byte
+// stream recovery would replay.
+func walBytes(t *testing.T, d *server.MemDisk) []byte {
+	t.Helper()
+	names, err := d.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, name := range names {
+		seg, err := d.ReadSegment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, seg...)
+	}
+	return all
 }
 
 // TestSimLongSoak sweeps many seeds with every fault class enabled. Any
